@@ -15,12 +15,16 @@ Between recomputations rates are constant, so completion times are exact and
 the whole simulation stays deterministic.  This reproduces what the paper's
 testbed provides to the adaptation loop: path transfer times and available
 bandwidth under competition.
+
+Every re-solve is global: progressive filling picks each increment over
+*all* links, so a component-local re-solve would round differently.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.net.routing import RoutingTable
@@ -103,8 +107,91 @@ class Flow:
         )
 
 
+def _waterfill(flows: Sequence[Flow]) -> List[float]:
+    """Two-tier allocation: priority demands first, then max-min fill.
+
+    Returns each flow's rate, in the order given (which matters only to
+    the priority tier).  Links are numbered in first-use order; each keeps
+    an integer count of the unfrozen elastic flows crossing it.
+    """
+    slot: Dict[int, int] = {}  # Link.index -> position in the lists below
+    residual: List[float] = []
+    count: List[int] = []
+    paths: List[List[int]] = []
+    rates = [0.0] * len(flows)
+    elastic: List[int] = []
+    for i, f in enumerate(flows):
+        path = []
+        for link in f.links:
+            j = slot.get(link.index)
+            if j is None:
+                j = slot[link.index] = len(residual)
+                residual.append(link.capacity)
+                count.append(0)
+            path.append(j)
+        paths.append(path)
+        if not f.priority:
+            elastic.append(i)
+            for j in path:
+                count[j] += 1
+            continue
+        # Tier 1: unresponsive competition takes its demand up front.
+        take = min(
+            f.cap if f.cap is not None else math.inf,
+            min([residual[j] for j in path]),
+        )
+        take = max(0.0, take)
+        rates[i] = take
+        for j in path:
+            residual[j] -= take
+
+    # Tier 2: progressive filling of elastic flows over the residual.
+    headroom = {i: flows[i].cap for i in elastic if flows[i].cap is not None}
+    live = [j for j, n in enumerate(count) if n]
+    unfrozen = elastic
+    while unfrozen:
+        # Largest uniform increment every unfrozen flow can take.
+        inc = math.inf
+        for j in live:
+            share = residual[j] / count[j]
+            if share < inc:
+                inc = share
+        for h in headroom.values():
+            if h < inc:
+                inc = h
+        if not math.isfinite(inc):
+            break  # unconstrained (cannot happen: flows have links)
+        if inc > _EPS_BW:
+            for i in unfrozen:
+                rates[i] += inc
+            for i in headroom:
+                headroom[i] -= inc
+            for j in live:
+                residual[j] -= inc * count[j]
+
+        # Freeze exactly the flows whose constraint binds (a saturated
+        # link or exhausted cap) and keep filling the others — a flow
+        # pinned at zero must not stall its peers.
+        full = {j for j in live if residual[j] <= _EPS_BW}
+        frozen = {i for i in unfrozen if not full.isdisjoint(paths[i])}
+        frozen.update(i for i, h in headroom.items() if h <= _EPS_BW)
+        if not frozen:
+            break  # numerically stuck; accept current allocation
+        for i in frozen:
+            headroom.pop(i, None)
+            for j in paths[i]:
+                count[j] -= 1
+        unfrozen = [i for i in unfrozen if i not in frozen]
+        live = [j for j in live if count[j]]
+    return rates
+
+
 class FlowNetwork:
-    """Manages flows over a topology and keeps allocations max-min fair."""
+    """Manages flows over a topology and keeps allocations max-min fair.
+
+    Each re-solve opens an epoch whose projected completions hold tie-break
+    numbers reserved at solve time; only the earliest sits in the simulator.
+    """
 
     def __init__(
         self,
@@ -120,6 +207,8 @@ class FlowNetwork:
         self._xtraffic: Dict[str, Flow] = {}  # name -> persistent flow
         self._ids = IdGenerator()
         self._epoch = 0
+        self._due: List[Tuple[float, int, str]] = []  # this epoch's completions
+        self._loads: Optional[Dict[int, float]] = None  # Link.index -> bits/s
         self.completed_transfers = 0
         self.total_bits_delivered = 0.0
 
@@ -167,9 +256,9 @@ class FlowNetwork:
 
         Returns False if the flow already completed or was cancelled.
         """
-        if flow.fid not in self._flows:
+        if self._flows.pop(flow.fid, None) is None:
             return False
-        del self._flows[flow.fid]
+        self._loads = None
         if flow.done is not None and not flow.done.triggered:
             flow.done.fail(NetworkError(f"transfer {flow.fid} cancelled"))
         self.recompute()
@@ -181,6 +270,7 @@ class FlowNetwork:
 
     def _complete(self, flow: Flow) -> None:
         self._flows.pop(flow.fid, None)
+        self._loads = None
         self._finish(flow)
         self.recompute()
 
@@ -223,8 +313,15 @@ class FlowNetwork:
                 raise NetworkError("cross traffic requires distinct endpoints")
             fid = self._ids.next("xtraffic")
             flow = Flow(
-                fid, src, dst, links, math.inf, None,
-                cap=float(rate_bps), persistent=True, priority=True,
+                fid,
+                src,
+                dst,
+                links,
+                math.inf,
+                None,
+                cap=float(rate_bps),
+                persistent=True,
+                priority=True,
                 now=self.sim.now,
             )
             self._flows[fid] = flow
@@ -248,95 +345,43 @@ class FlowNetwork:
                 finished.append(flow)
         for flow in finished:
             self._flows.pop(flow.fid, None)
-        self._waterfill()
+        order = self.flows
+        for flow, rate in zip(order, _waterfill(order)):
+            flow.rate = rate
+        self._loads = None
         self._epoch += 1
         epoch = self._epoch
-        for flow in self._flows.values():
-            if flow.persistent or flow.rate <= _EPS_BW:
-                continue
-            eta = flow.remaining_bits / flow.rate
-            self.sim.schedule(eta, self._maybe_complete, flow.fid, epoch)
+        due = [f for f in self._flows.values() if not f.persistent and f.rate > _EPS_BW]
+        seqs = enumerate(due, self.sim.reserve_seq(len(due)))
+        self._due = [(now + f.remaining_bits / f.rate, seq, f.fid) for seq, f in seqs]
+        heapq.heapify(self._due)
         # Fire completions after rates settle (callbacks may add new flows).
         for flow in finished:
             self._finish(flow)
+        if epoch == self._epoch:  # no callback re-solved
+            self._queue_next(epoch)
 
-    def _maybe_complete(self, fid: str, epoch: int) -> None:
+    def _queue_next(self, epoch: int) -> None:
+        """Queue this epoch's earliest projected completion, if any."""
+        if self._due:
+            time, seq, _ = self._due[0]
+            self.sim.schedule_reserved(time, seq, self._maybe_complete, epoch)
+
+    def _maybe_complete(self, epoch: int) -> None:
         if epoch != self._epoch:
             return  # allocation changed since this completion was projected
+        _, _, fid = heapq.heappop(self._due)
         flow = self._flows.get(fid)
-        if flow is None:
-            return
-        flow.advance(self.sim.now)
-        if flow.finished or flow.rate <= _EPS_BW:
-            self._complete(flow)
-        else:
-            # float drift: reschedule the residual sliver
-            self.sim.schedule(flow.remaining_bits / flow.rate, self._maybe_complete,
-                              fid, epoch)
-
-    def _waterfill(self) -> None:
-        """Two-tier allocation: priority demands first, then max-min fill."""
-        flows = [self._flows[k] for k in sorted(self._flows)]
-        if not flows:
-            return
-        residual: Dict[Tuple[str, str], float] = {}
-        on_link: Dict[Tuple[str, str], List[Flow]] = {}
-        for f in flows:
-            f.rate = 0.0
-            for link in f.links:
-                residual.setdefault(link.key, link.capacity)
-                on_link.setdefault(link.key, []).append(f)
-
-        # Tier 1: unresponsive competition takes its demand up front.
-        elastic: List[Flow] = []
-        for f in flows:
-            if not f.priority:
-                elastic.append(f)
-                continue
-            take = min(f.cap if f.cap is not None else math.inf,
-                       min(residual[link.key] for link in f.links))
-            take = max(0.0, take)
-            f.rate = take
-            for link in f.links:
-                residual[link.key] -= take
-
-        # Tier 2: progressive filling of elastic flows over the residual.
-        unfrozen = {f.fid: f for f in elastic}
-        headroom = {f.fid: (f.cap if f.cap is not None else math.inf) for f in elastic}
-
-        while unfrozen:
-            # Largest uniform increment every unfrozen flow can take.
-            inc = math.inf
-            for key, members in on_link.items():
-                n = sum(1 for m in members if m.fid in unfrozen)
-                if n:
-                    inc = min(inc, residual[key] / n)
-            for fid in unfrozen:
-                inc = min(inc, headroom[fid])
-            if not math.isfinite(inc):
-                break  # unconstrained (cannot happen: flows have links)
-            if inc > _EPS_BW:
-                for fid, f in unfrozen.items():
-                    f.rate += inc
-                    headroom[fid] -= inc
-                for key, members in on_link.items():
-                    n = sum(1 for m in members if m.fid in unfrozen)
-                    residual[key] -= inc * n
-
-            # Freeze exactly the flows whose constraint binds (a saturated
-            # link or exhausted cap) and keep filling the others — a flow
-            # pinned at zero must not stall its peers.
-            frozen_now: List[str] = []
-            for key, members in on_link.items():
-                if residual[key] <= _EPS_BW:
-                    frozen_now.extend(m.fid for m in members if m.fid in unfrozen)
-            for fid in list(unfrozen):
-                if headroom[fid] <= _EPS_BW:
-                    frozen_now.append(fid)
-            if not frozen_now:
-                break  # numerically stuck; accept current allocation
-            for fid in frozen_now:
-                unfrozen.pop(fid, None)
+        if flow is not None:
+            now = self.sim.now
+            flow.advance(now)
+            if flow.finished or flow.rate <= _EPS_BW:
+                self._complete(flow)
+                return
+            # float drift: the residual sliver is a new completion, numbered now
+            eta = now + flow.remaining_bits / flow.rate
+            heapq.heappush(self._due, (eta, self.sim.reserve_seq(1), fid))
+        self._queue_next(epoch)
 
     # ------------------------------------------------------------------
     # Measurement (ground truth for Remos and the figures)
@@ -349,23 +394,38 @@ class FlowNetwork:
     def active_transfers(self) -> List[Flow]:
         return [f for f in self.flows if not f.persistent]
 
+    def _load_table(self) -> Dict[int, float]:
+        """Per-link sum of current rates, in flow insertion order.
+
+        Summed with ``sum`` over each link's rates, as the per-call scan it
+        replaces did: from Python 3.12 ``sum`` compensates float rounding,
+        so a running ``+=`` would not give the same bits there.
+        """
+        if self._loads is None:
+            rates: Dict[int, List[float]] = {}
+            for f in self._flows.values():
+                for link in f.links:
+                    rates.setdefault(link.index, []).append(f.rate)
+            self._loads = {index: sum(r) for index, r in rates.items()}
+        return self._loads
+
     def link_load(self, a: str, b: str) -> float:
         """Sum of current flow rates crossing link (a, b), bits/s."""
-        link = self.topology.link(a, b)
-        return sum(f.rate for f in self._flows.values() if link in f.links)
+        return self._load_table().get(self.topology.link(a, b).index, 0.0)
 
     def link_utilization(self, a: str, b: str) -> float:
         link = self.topology.link(a, b)
-        return self.link_load(a, b) / link.capacity
+        return self._load_table().get(link.index, 0.0) / link.capacity
 
     def residual_bandwidth(self, src: str, dst: str) -> float:
         """Unused capacity along the path (min over links)."""
         links = self.routing.links_on_path(src, dst)
         if not links:
             return self.local_bps
+        loads = self._load_table()
         return max(
             0.0,
-            min(link.capacity - self.link_load(link.a, link.b) for link in links),
+            min(link.capacity - loads.get(link.index, 0.0) for link in links),
         )
 
     def predicted_bandwidth(self, src: str, dst: str) -> float:
@@ -378,15 +438,6 @@ class FlowNetwork:
         links = self.routing.links_on_path(src, dst)
         if not links:
             return self.local_bps
-        probe = Flow("__probe__", src, dst, links, math.inf, None,
-                     persistent=True, now=self.sim.now)
-        saved_rates = {f.fid: f.rate for f in self._flows.values()}
-        self._flows[probe.fid] = probe
-        try:
-            self._waterfill()
-            return probe.rate
-        finally:
-            del self._flows[probe.fid]
-            for fid, r in saved_rates.items():
-                if fid in self._flows:
-                    self._flows[fid].rate = r
+        probe = Flow("__probe__", src, dst, links, math.inf, None, persistent=True)
+        # "__probe__" sorts before every generated "flow-N"/"xtraffic-N" id.
+        return _waterfill([probe] + self.flows)[0]

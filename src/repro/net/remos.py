@@ -120,6 +120,4 @@ class RemosService:
     def prewarm_all_hosts(self) -> int:
         """Prewarm every host pair in the topology."""
         hosts = [n.name for n in self.network.topology.hosts]
-        return self.prewarm(
-            (a, b) for i, a in enumerate(hosts) for b in hosts[i + 1:]
-        )
+        return self.prewarm((a, b) for i, a in enumerate(hosts) for b in hosts[i + 1 :])

@@ -8,7 +8,7 @@ competition traffic flowing the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.errors import NetworkError
@@ -25,7 +25,9 @@ class Node:
 
     def __post_init__(self) -> None:
         if self.kind not in ("host", "router"):
-            raise NetworkError(f"node kind must be 'host' or 'router', got {self.kind!r}")
+            raise NetworkError(
+                f"node kind must be 'host' or 'router', got {self.kind!r}"
+            )
         if not self.name:
             raise NetworkError("node name must be non-empty")
 
@@ -39,12 +41,15 @@ class Link:
     """Undirected link with capacity in bits/second.
 
     ``capacity`` may be changed at runtime (tests use this); the flow engine
-    must be told to recompute afterwards.
+    must be told to recompute afterwards.  ``index`` is the link's position
+    in its topology's insertion order (-1 outside a topology): a stable
+    integer identity the flow engine keys its per-link tables on.
     """
 
     a: str
     b: str
     capacity: float
+    index: int = field(default=-1, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.a == self.b:
@@ -104,7 +109,7 @@ class Topology:
         key = _canon(a, b)
         if key in self._links:
             raise NetworkError(f"duplicate link {key}")
-        link = Link(a, b, float(capacity))
+        link = Link(a, b, float(capacity), index=len(self._links))
         self._links[key] = link
         self._adj[a].append(b)
         self._adj[b].append(a)

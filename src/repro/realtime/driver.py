@@ -32,6 +32,7 @@ deterministic mode the realtime test suite pins.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -83,7 +84,9 @@ class RealtimeDriver:
 
         Thread-safe: the sample crosses onto the scheduler thread and is
         published there.  Unknown (kind, target) pairs raise ``KeyError``
-        — the wiring audit's WIR402 is the static half of that check.
+        — the wiring audit's WIR402 is the static half of that check.  A
+        non-finite ``value`` or ``time`` raises ``ValueError`` here, in
+        the caller's thread, before anything reaches the scheduler.
         """
         probe = self._ingest_probes.get((kind, target))
         if probe is None:
@@ -91,8 +94,12 @@ class RealtimeDriver:
                 f"no IngestProbe for ({kind!r}, {target!r}); "
                 f"declared: {self.ingest_targets()}"
             )
+        value = float(value)
+        time = None if time is None else float(time)
+        if not math.isfinite(value) or (time is not None and not math.isfinite(time)):
+            raise ValueError(f"non-finite sample (value={value}, time={time})")
         self.ingested += 1
-        self.scheduler.call_soon_threadsafe(probe.ingest, float(value), time)
+        self.scheduler.call_soon_threadsafe(probe.ingest, value, time)
 
     # -- lifecycle ---------------------------------------------------------
     def _start_runtime_once(self) -> None:

@@ -140,10 +140,11 @@ class ServeApp:
             return 400, {"error": "/ingest needs string kind and target"}
         try:
             value = float(body["value"])
+            time = None if body.get("time") is None else float(body["time"])
         except (KeyError, TypeError, ValueError):
-            return 400, {"error": "/ingest needs a numeric value"}
+            return 400, {"error": "/ingest needs a numeric value (and time)"}
         try:
-            self.driver.ingest(kind, target, value)
-        except KeyError as exc:
+            self.driver.ingest(kind, target, value, time)
+        except (KeyError, ValueError) as exc:  # unknown probe, non-finite sample
             return 400, {"error": str(exc)}
         return 200, {"ingested": True, "total": self.driver.ingested}

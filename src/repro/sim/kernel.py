@@ -146,7 +146,8 @@ class Simulator:
     """Deterministic discrete-event scheduler.
 
     * ``schedule(delay, fn, *args)`` runs ``fn`` at ``now + delay``;
-    * ties break in scheduling order (a monotone sequence number);
+    * ties break in scheduling order (a monotone sequence number), or in
+      the order numbers were taken with ``reserve_seq``;
     * ``run(until)`` executes all work up to and including ``until`` and
       leaves ``now == until``.
     """
@@ -176,6 +177,29 @@ class Simulator:
             )
         self._seq += 1
         heapq.heappush(self._heap, (float(time), self._seq, fn, args))
+
+    def reserve_seq(self, n: int) -> int:
+        """Reserve ``n`` consecutive tie-break numbers; return the first.
+
+        For a caller that knows now several actions it *may* run later but
+        will keep at most one of them queued at a time: each is ordered
+        against every other action exactly as if it had been scheduled now.
+        """
+        first = self._seq + 1
+        self._seq += n
+        return first
+
+    def schedule_reserved(
+        self, time: float, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """:meth:`schedule_at` with a number from :meth:`reserve_seq`."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, now={self._now})"
+            )
+        if not 0 < seq <= self._seq:
+            raise SimulationError(f"sequence number {seq} was never reserved")
+        heapq.heappush(self._heap, (float(time), seq, fn, args))
 
     # -- waitable factories ------------------------------------------------
     def event(self) -> Event:

@@ -199,3 +199,98 @@ class TestCancel:
         assert errors == [False]
         assert net.residual_bandwidth("a1", "b1") == pytest.approx(10e6)
         assert net.cancel(flow) is False
+
+
+class TestCompletionEvents:
+    """Only the earliest projected completion of an epoch sits in the heap.
+
+    The others hold sequence numbers reserved when the epoch was solved,
+    so completions still tie-break against every other event exactly as
+    if each had been scheduled at solve time.
+    """
+
+    @staticmethod
+    def queued_completions(sim, net):
+        return [entry[3][0] for entry in sim._heap if entry[2] == net._maybe_complete]
+
+    def test_simultaneous_finishes_keep_start_order_and_foreign_ties(self):
+        sim, net = make(10e6)
+        log = []
+        sim.schedule_at(2.0, log.append, "scheduled-before")
+        first = net.transfer("a1", "b1", 10e6 / 8)
+        second = net.transfer("a2", "b2", 10e6 / 8)  # both at 5 Mbps -> t=2
+        sim.schedule_at(2.0, log.append, "scheduled-after")
+        first.add_callback(lambda e: log.append(("first", sim.now)))
+        second.add_callback(lambda e: log.append(("second", sim.now)))
+        sim.run()
+        assert log == [
+            "scheduled-before",
+            ("first", 2.0),
+            ("second", 2.0),
+            "scheduled-after",
+        ]
+
+    @pytest.mark.parametrize(
+        "other_bits, expected",
+        [
+            # due inside the sliver window: completes first, and the
+            # re-solve re-projects the sliver at t=2 after the foreign event
+            (150e6, [("other", 1.5), ("foreign", 2.0), ("sliver", 2.0)]),
+            # due after it: the sliver completes at its re-projected time
+            (250e6, [("foreign", 2.0), ("sliver", 2.0), ("other", 2.5)]),
+        ],
+    )
+    def test_sliver_reschedule_with_a_second_candidate(self, other_bits, expected):
+        sim, net = make(10e6)
+        log = []
+        sliver, flow = net.start_transfer("a1", "a2", 100e6 / 8)  # 100 Mbps: t=1
+        other = net.transfer("b1", "b2", other_bits / 8)  # disjoint, 100 Mbps
+        # An exaggerated float drift: at t=1 a further 100 Mbit remain, so
+        # the completion is re-projected to t=2 within the same epoch.
+        flow.remaining_bits += 100e6
+        sim.schedule_at(2.0, lambda: log.append(("foreign", sim.now)))
+        sliver.add_callback(lambda e: log.append(("sliver", sim.now)))
+        other.add_callback(lambda e: log.append(("other", sim.now)))
+        sim.run()
+        assert log == expected
+        assert net.completed_transfers == 2
+
+    def test_sliver_takes_a_fresh_tie_break_number(self):
+        sim, net = make(10e6)
+        log = []
+        sim.schedule_at(2.0, log.append, "early")
+        done, flow = net.start_transfer("a1", "a2", 100e6 / 8)
+        flow.remaining_bits += 100e6  # completion re-projected at t=1 to t=2
+        sim.schedule_at(1.5, sim.schedule_at, 2.0, log.append, "late")
+        done.add_callback(lambda e: log.append("sliver"))
+        sim.run()
+        assert log == ["early", "sliver", "late"]
+
+    def test_cancelling_the_next_completion(self):
+        sim, net = make(10e6)
+        outcome = {}
+        small, small_flow = net.start_transfer("a1", "b1", 5e6 / 8)  # due t=1
+        big = net.transfer("a2", "b2", 10e6 / 8)  # due t=2 while sharing
+        small.add_callback(lambda e: outcome.setdefault("small", (e.ok, sim.now)))
+        big.add_callback(lambda e: outcome.setdefault("big", (e.ok, sim.now)))
+        sim.schedule_at(0.5, net.cancel, small_flow)
+        sim.run()
+        # At t=0.5 big has 7.5 Mbit left and the whole 10 Mbps: done t=1.25.
+        assert outcome["small"] == (False, 0.5)
+        assert outcome["big"][0] is True
+        assert outcome["big"][1] == pytest.approx(1.25)
+        assert net.completed_transfers == 1
+
+    def test_at_most_one_queued_completion_per_epoch(self):
+        sim, net = make(10e6)
+        net.set_cross_traffic("comp", "a2", "b2", 4e6)
+        for k in range(30):
+            sim.schedule_at(0.01 * k, net.transfer, "a1", "b1", (k + 1) * 1e4)
+        for horizon in (0.1, 0.2, 0.5, 1.0):
+            sim.run(until=horizon)
+            epochs = self.queued_completions(sim, net)
+            assert len(epochs) == len(set(epochs))
+            assert epochs.count(net._epoch) == (1 if net.active_transfers else 0)
+        sim.run()
+        assert net.completed_transfers == 30
+        assert self.queued_completions(sim, net) == []

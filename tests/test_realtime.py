@@ -10,6 +10,7 @@ ingest seam end to end (external sample -> bus -> gauge -> model ->
 committed repair -> effector callback).
 """
 
+import math
 import threading
 
 import pytest
@@ -314,6 +315,24 @@ class TestRealtimeDriver:
         with pytest.raises(KeyError):
             driver.ingest("nope", "pool", 1.0)
         assert ("latency", "pool") in driver.ingest_targets()
+
+    def test_ingest_rejects_non_finite_in_the_callers_thread(self):
+        clock = FakeClock()
+        app = ScriptedPoolApp()
+        driver = RealtimeDriver(
+            LivePoolManagedApplication(app, min_workers=2),
+            build_live_pool_spec(app),
+            clock=clock,
+        )
+        probe = next(p for p in driver.runtime.probes if isinstance(p, IngestProbe))
+        for value, time in [(math.nan, None), (math.inf, None), (0.1, -math.inf)]:
+            with pytest.raises(ValueError):
+                driver.ingest("latency", "pool", value, time)
+        assert driver.ingested == 0
+        driver.run_until(1.0)  # nothing poisoned reached the scheduler
+        driver.ingest("latency", "pool", 0.25)
+        driver.run_until(2.0)
+        assert probe.samples == 1
 
     def test_run_until_leaves_logical_time_at_horizon(self):
         driver, _ = _scripted_driver(horizon=12.0)

@@ -18,6 +18,7 @@ import pytest
 
 from repro import api
 from repro.experiment.scenarios import scenario_builder
+from repro.monitoring.probes import IngestProbe
 from repro.realtime import FakeClock, RealtimeDriver
 from repro.realtime.demo import (
     LivePoolManagedApplication,
@@ -137,6 +138,31 @@ class TestServeRunAndIngest:
         bad = {"kind": "nope", "target": "pool", "value": 1.0}
         assert app.handle("POST", "/ingest", bad)[0] == 400
         assert app.handle("POST", "/ingest", {"kind": "latency"})[0] == 400
+
+    def test_non_finite_ingest_is_rejected_and_the_loop_survives(self):
+        from tests.test_realtime import ScriptedPoolApp
+
+        pool = ScriptedPoolApp()
+        driver = RealtimeDriver(
+            LivePoolManagedApplication(pool, min_workers=2),
+            build_live_pool_spec(pool),
+            clock=FakeClock(),
+        )
+        app = ServeApp(driver=driver, clock=FakeClock())
+        sample = {"kind": "latency", "target": "pool"}
+        for bad in ["nan", "inf", "-Infinity", float("nan")]:
+            status, payload = app.handle("POST", "/ingest", {**sample, "value": bad})
+            assert status == 400, bad
+            assert "finite" in payload["error"]
+        body = {**sample, "value": 0.25, "time": "nan"}
+        assert app.handle("POST", "/ingest", body)[0] == 400
+        assert driver.ingested == 0
+        driver.run_until(1.0)  # the scheduler thread would have died here
+        status, _ = app.handle("POST", "/ingest", {**sample, "value": 0.25})
+        assert status == 200
+        driver.run_until(2.0)
+        probe = next(p for p in driver.runtime.probes if isinstance(p, IngestProbe))
+        assert probe.samples == 1
 
     def test_run_rejects_bad_override_types(self):
         app = ServeApp(clock=FakeClock())

@@ -60,6 +60,27 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_reserved_numbers_tie_break_as_if_scheduled_at_reservation(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "before")
+        first = sim.reserve_seq(2)
+        sim.schedule(1.0, seen.append, "after")
+        sim.schedule_reserved(1.0, first + 1, seen.append, "reserved-2")
+        sim.schedule_reserved(1.0, first, seen.append, "reserved-1")
+        sim.run()
+        assert seen == ["before", "reserved-1", "reserved-2", "after"]
+
+    def test_schedule_reserved_rejects_unreserved_or_past(self):
+        sim = Simulator()
+        seq = sim.reserve_seq(1)
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(1.0, seq + 1, lambda: None)
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(1.0, seq, lambda: None)
+
     def test_run_until_past_rejected(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)

@@ -37,6 +37,7 @@ RATCHETED = [
     "src/repro/faults/",
     "src/repro/lint/",
     "src/repro/monitoring/",
+    "src/repro/net/",
     "src/repro/realtime/",
     "src/repro/serve/",
     "src/repro/sim/",
@@ -70,6 +71,9 @@ RATCHETED = [
     "tests/test_grid_site_scenario.py",
     "tests/test_transaction_crash_safety.py",
     "tests/test_probe_flush_on_abort.py",
+    "tests/maxmin_oracle.py",
+    "tests/test_net_flows.py",
+    "tests/test_net_solver_oracle.py",
 ]
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
