@@ -7,7 +7,7 @@ to use network Quality of Service (QoS) techniques to prioritize
 monitoring traffic."
 """
 
-from repro.experiment import ScenarioConfig, run_scenario
+from repro.experiment import RunConfig, run_scenario
 from repro.util.tables import render_table
 
 HORIZON = 700.0
@@ -20,10 +20,10 @@ def first_repair_start(result):
 
 def run_pair():
     inband = run_scenario(
-        ScenarioConfig.adapted().but(horizon=HORIZON, name="adapted-inband")
+        RunConfig.adapted().but(horizon=HORIZON, name="adapted-inband")
     )
     qos = run_scenario(
-        ScenarioConfig.adapted().but(
+        RunConfig.adapted().but(
             horizon=HORIZON, monitoring_qos=True, name="adapted-qos"
         )
     )

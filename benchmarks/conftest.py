@@ -23,9 +23,8 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 def control_result():
     """The paper's control run (no adaptation), full 1800 s.
 
-    Built through the scenario-neutral front door; individual benches
-    that still construct legacy ``ScenarioConfig`` ablations share the
-    same cache entries (both shapes resolve to one cache key).
+    Benches that call ``run_scenario(RunConfig.control())`` themselves
+    share this run: the result cache is keyed by the resolved config.
     """
     return api.run(api.RunConfig.control())
 

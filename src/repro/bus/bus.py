@@ -117,7 +117,6 @@ class EventBus:
         sim: Simulator,
         delivery: Optional[DeliveryModel] = None,
         name: str = "bus",
-        indexed: bool = True,
         batched: bool = False,
         queue_policy: Optional[QueuePolicy] = None,
     ):
@@ -128,7 +127,7 @@ class EventBus:
         self.queue_policy = queue_policy or QueuePolicy()
         self._subs: Dict[str, Subscription] = {}
         self._queues: Dict[str, SubscriberQueue] = {}
-        self._index: Optional[SubjectTrie] = SubjectTrie() if indexed else None
+        self._index = SubjectTrie()
         self._ids = IdGenerator()
         self._seq = 0
         self.published = 0
@@ -170,8 +169,7 @@ class EventBus:
             self._queues[sub.sid] = SubscriberQueue(
                 sub, queue_policy or self.queue_policy
             )
-        if self._index is not None:
-            self._index.add(sub)
+        self._index.add(sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -182,7 +180,7 @@ class EventBus:
         analogue of the unbatched unsubscribe-while-in-flight rule.
         """
         sub.active = False
-        if self._subs.pop(sub.sid, None) is not None and self._index is not None:
+        if self._subs.pop(sub.sid, None) is not None:
             self._index.remove(sub)
         sq = self._queues.pop(sub.sid, None)
         if sq is not None:
@@ -230,20 +228,16 @@ class EventBus:
     def _matches(self, msg: Message) -> List[Subscription]:
         """Subscriptions that want ``msg``, in subscription order.
 
-        With the trie index, candidates already match the subject, so only
-        the activity and attribute-filter checks remain; the linear path
-        re-tests everything.  Both return the same subscriptions in the
-        same order (handlers never run synchronously, so the candidate set
-        is a snapshot either way).
+        Trie candidates already match the subject, so only the activity
+        and attribute-filter checks remain.  Handlers never run
+        synchronously, so the candidate set is a snapshot.
         """
-        if self._index is not None:
-            return [
-                sub
-                for sub in self._index.match(msg.subject)
-                if sub.active
-                and (sub.attr_filter is None or sub.attr_filter.matches(msg.attributes))
-            ]
-        return [sub for sub in list(self._subs.values()) if sub.wants(msg)]
+        return [
+            sub
+            for sub in self._index.match(msg.subject)
+            if sub.active
+            and (sub.attr_filter is None or sub.attr_filter.matches(msg.attributes))
+        ]
 
     # -- unbatched delivery ----------------------------------------------------
     def _deliver(self, sub: Subscription, msg: Message, delay: float = 0.0) -> None:

@@ -10,9 +10,9 @@ cost is proportional to subject depth times the number of wildcard
 branches along the way, not to the total number of subscriptions.
 
 Matches are returned in subscription order (the order ``subscribe`` was
-called), which is exactly the iteration order of the linear scan — the
-bus relies on this to keep delivery order and statistics bit-for-bit
-identical between the two paths.
+called), which is exactly the iteration order of a linear scan over every
+subscription; ``tests/test_bus_index.py`` checks the two deliver
+identically.
 """
 
 from __future__ import annotations

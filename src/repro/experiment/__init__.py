@@ -8,8 +8,6 @@
   scenario-neutral :class:`RunConfig` plus typed per-scenario parameter
   blocks (:class:`ClientServerParams`, :class:`PipelineParams`,
   :class:`MasterWorkerParams`, :class:`MultiTenantParams`);
-* :mod:`repro.experiment.scenario` — the legacy :class:`ScenarioConfig`
-  deprecation shim (converts into RunConfig + params on entry);
 * :mod:`repro.experiment.result` — the scenario-neutral
   :class:`RunResult` and its per-scenario subclasses;
 * :mod:`repro.experiment.scenarios` — the scenario registry
@@ -46,11 +44,9 @@ from repro.experiment.result import (
     PipelineResult,
     RunResult,
 )
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.series import TimeSeries
 from repro.experiment.runner import (
     Experiment,
-    ExperimentResult,
     clear_cache,
     run_scenario,
     set_cache_capacity,
@@ -96,10 +92,8 @@ __all__ = [
     "PipelineResult",
     "MasterWorkerResult",
     "MultiTenantResult",
-    "ScenarioConfig",
     "TimeSeries",
     "Experiment",
-    "ExperimentResult",
     "PipelineExperiment",
     "MasterWorkerExperiment",
     "MultiTenantExperiment",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.grid_site_app import GridSiteApplication
 from repro.bus.bus import FixedDelay
@@ -34,7 +34,6 @@ from repro.errors import TranslationError
 from repro.experiment.config import RunConfig, as_run_config
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.series import TimeSeries
 from repro.faults import (
@@ -80,13 +79,6 @@ __all__ = [
 @dataclass(frozen=True)
 class GridSiteParams(ScenarioParams):
     """The grid-site scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # grid shape: site i gets pools_per_site pools of
     # slots_per_pool + (i % slot_spread) slots — deterministic
@@ -397,7 +389,7 @@ class GridSiteExperiment:
     owns the plane, wraps the translator and binds probes and buses.
     """
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
+    def __init__(self, config: RunConfig):
         config = as_run_config(config)
         self.config = config
         self.params: GridSiteParams = config.params

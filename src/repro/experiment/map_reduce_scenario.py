@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional
 
 from repro.app.map_reduce_app import MapReduceApplication
 from repro.bus.bus import FixedDelay
@@ -47,7 +47,6 @@ from repro.errors import TranslationError
 from repro.experiment.config import RunConfig, as_run_config
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.series import TimeSeries
 from repro.experiment.workload import BurstArrivals
@@ -86,14 +85,6 @@ __all__ = [
 @dataclass(frozen=True)
 class MapReduceParams(ScenarioParams):
     """The shuffle-skew scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # job shape
     mappers: int = 2          # mapper pool width
@@ -351,7 +342,7 @@ class MapReduceMetricsSampler:
 class MapReduceExperiment:
     """One wired shuffle-skew run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
+    def __init__(self, config: RunConfig):
         config = as_run_config(config)
         self.config = config
         self.params: MapReduceParams = config.params

@@ -31,7 +31,7 @@ more work and ends back at its designed pool size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional
 
 from repro.app.master_worker_app import MasterWorkerApplication
 from repro.bus.bus import FixedDelay
@@ -39,7 +39,6 @@ from repro.errors import TranslationError
 from repro.experiment.config import RunConfig, as_run_config
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.series import TimeSeries
 from repro.experiment.workload import BurstArrivals
@@ -77,15 +76,6 @@ __all__ = [
 @dataclass(frozen=True)
 class MasterWorkerParams(ScenarioParams):
     """The task-farm scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "load_horizon",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # pool shape
     workers: int = 4          # initial (and designed minimum) pool size
@@ -300,7 +290,7 @@ class MasterWorkerMetricsSampler:
 class MasterWorkerExperiment:
     """One wired task-farm run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
+    def __init__(self, config: RunConfig):
         config = as_run_config(config)
         self.config = config
         self.params: MasterWorkerParams = config.params

@@ -23,7 +23,7 @@ latency violates its bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional
 
 from repro.app.multi_tenant_app import MultiTenantApplication
 from repro.bus.bus import FixedDelay
@@ -31,7 +31,6 @@ from repro.errors import TranslationError
 from repro.experiment.config import RunConfig, as_run_config
 from repro.experiment.params import ScenarioParams
 from repro.experiment.result import RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.scenarios import register_scenario
 from repro.experiment.series import TimeSeries
 from repro.monitoring.gauges import EwmaGauge, LatestValueGauge
@@ -73,14 +72,6 @@ __all__ = [
 @dataclass(frozen=True)
 class MultiTenantParams(ScenarioParams):
     """The multi-tenant scenario's typed knob block."""
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
 
     # tenancy shape
     tenants: int = 6            # tenant count (pools are named T0..T{n-1})
@@ -419,7 +410,7 @@ class MultiTenantMetricsSampler:
 class MultiTenantExperiment:
     """One wired multi-tenant run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
+    def __init__(self, config: RunConfig):
         config = as_run_config(config)
         self.config = config
         self.params: MultiTenantParams = config.params

@@ -11,18 +11,12 @@ alongside the scenario's builder::
 Param blocks are frozen dataclasses, so they hash and compose into the
 result cache's key; :meth:`ScenarioParams.validate` runs when a config is
 resolved, before any simulation is built.
-
-``LEGACY_FIELDS`` names the :class:`~repro.experiment.scenario.ScenarioConfig`
-knobs a block adopts when a legacy config is converted through the
-deprecation shim — the fields the old god-config actually fed this
-scenario.  The default (every field the block declares) is right for
-:class:`ClientServerParams`, whose fields *are* the old config's fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Tuple
 
 from repro.errors import ReproError
 
@@ -41,10 +35,6 @@ __all__ = [
 class ScenarioParams:
     """Base class (and the no-knob default) for scenario param blocks."""
 
-    #: ScenarioConfig field names the deprecation shim copies into this
-    #: block; ``None`` means "every field this block declares".
-    LEGACY_FIELDS: ClassVar[Optional[Tuple[str, ...]]] = None
-
     #: nested frozen config blocks reachable through dotted ``but`` keys
     #: (``sharding.shards=4``): field name -> block type, used to build a
     #: default instance when the field is currently ``None``
@@ -53,10 +43,6 @@ class ScenarioParams:
     @classmethod
     def field_names(cls) -> Tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def legacy_fields(cls) -> Tuple[str, ...]:
-        return cls.LEGACY_FIELDS if cls.LEGACY_FIELDS is not None else cls.field_names()
 
     def but(self, **changes: Any) -> "ScenarioParams":
         """A modified copy; rejects names the block does not declare.
@@ -112,18 +98,15 @@ class ScenarioParams:
 
     def cache_key(self) -> Tuple:
         """Hashable identity, composed into :meth:`RunConfig.cache_key`."""
-        return (type(self).__name__,) + tuple(
-            getattr(self, name) for name in self.field_names()
-        )
+        values = tuple(getattr(self, name) for name in self.field_names())
+        return (type(self).__name__, *values)
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
         for name in self.field_names():
             value = getattr(self, name)
             if is_dataclass(value) and not isinstance(value, type):
-                value = {
-                    f.name: getattr(value, f.name) for f in fields(value)
-                }
+                value = {f.name: getattr(value, f.name) for f in fields(value)}
             out[name] = value
         return out
 
@@ -150,12 +133,7 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class ClientServerParams(ScenarioParams):
-    """The paper's Figure 6/7 client/server testbed knobs.
-
-    Field names and defaults mirror the legacy ``ScenarioConfig`` exactly,
-    so legacy configs convert value-for-value (and the adapted-run
-    fingerprint stays bit-for-bit identical through both front doors).
-    """
+    """The paper's Figure 6/7 client/server testbed knobs."""
 
     # adaptation stack
     underutilization_repair: bool = True
@@ -175,7 +153,7 @@ class ClientServerParams(ScenarioParams):
     stress_end: float = 1200.0
 
     # application service model
-    service_base: float = 0.10        # s per request
+    service_base: float = 0.10  # s per request
     service_per_byte: float = 7.5e-6  # s per response byte (20 KB -> +0.15 s)
 
     # monitoring
@@ -184,24 +162,22 @@ class ClientServerParams(ScenarioParams):
     load_horizon: float = 30.0
     load_probe_period: float = 1.0
     bandwidth_probe_period: float = 10.0
-    monitoring_qos: bool = False      # A2: prioritize monitoring traffic
-    congestion_penalty: float = 8.0   # extra bus delay at full congestion, s
+    monitoring_qos: bool = False  # A2: prioritize monitoring traffic
+    congestion_penalty: float = 8.0  # extra bus delay at full congestion, s
 
     # repair machinery
     settle_time: float = 20.0
     failed_repair_cost: float = 2.0
-    violation_policy: str = "first"   # or "worst" (the paper's §7 proposal)
-    gauge_caching: bool = False       # A1: cache gauges instead of recreate
-    remos_prewarm: bool = True        # A3: pre-query Remos (paper's fix)
+    violation_policy: str = "first"  # or "worst" (the paper's §7 proposal)
+    gauge_caching: bool = False  # A1: cache gauges instead of recreate
+    remos_prewarm: bool = True  # A3: pre-query Remos (paper's fix)
     remos_cold_delay: float = 90.0
     remos_warm_delay: float = 0.5
 
     def validate(self, config: "RunConfig") -> None:
         self._check_policy(self.violation_policy)
         self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(
-            self.load_probe_period > 0, "load_probe_period must be positive"
-        )
+        self._require(self.load_probe_period > 0, "load_probe_period must be positive")
         self._require(
             self.bandwidth_probe_period > 0,
             "bandwidth_probe_period must be positive",
@@ -225,39 +201,23 @@ PIPELINE_STAGES: Tuple[Tuple[str, int, float], ...] = (
 
 @dataclass(frozen=True)
 class PipelineParams(ScenarioParams):
-    """The batch-pipeline scenario's knobs (stages, burst, budgets).
-
-    Only the adaptation-machinery fields are adopted from legacy configs
-    (``LEGACY_FIELDS``): the legacy god-config never carried pipeline
-    workload knobs — those were module constants — and its client/server
-    thresholds (e.g. ``min_utilization``) must not leak in.
-    """
-
-    LEGACY_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "gauge_period",
-        "load_probe_period",
-        "load_horizon",
-        "gauge_caching",
-        "settle_time",
-        "failed_repair_cost",
-        "violation_policy",
-    )
+    """The batch-pipeline scenario's knobs (stages, burst, budgets)."""
 
     #: (name, initial width, service seconds/item) per stage, in order
     stages: Tuple[Tuple[str, int, float], ...] = PIPELINE_STAGES
 
     # workload: Poisson item stream bursting above the bottleneck capacity
-    baseline_rate: float = 0.8   # items/s, below the bottleneck's capacity
-    burst_rate: float = 3.0      # items/s, needs transform width >= 3
+    baseline_rate: float = 0.8  # items/s, below the bottleneck's capacity
+    burst_rate: float = 3.0  # items/s, needs transform width >= 3
 
     # thresholds and budgets
-    max_backlog: float = 25.0    # backlogBound invariant
-    low_water: float = 2.0       # never narrow a stage still queueing
+    max_backlog: float = 25.0  # backlogBound invariant
+    low_water: float = 2.0  # never narrow a stage still queueing
     min_utilization: float = 0.5  # occupancy under which width is idle
-    worker_budget: int = 8       # total workers across stages
+    worker_budget: int = 8  # total workers across stages
 
     # translation costs
-    widen_cost: float = 8.0      # s to spin up one worker
+    widen_cost: float = 8.0  # s to spin up one worker
     redeploy_window: float = 10.0  # s of gauge blindness after a repair
 
     # monitoring + repair machinery (shared shape with the other blocks)
@@ -276,9 +236,7 @@ class PipelineParams(ScenarioParams):
         self._require(self.burst_rate > 0, "burst_rate must be positive")
         self._require(self.worker_budget >= 1, "worker_budget must be >= 1")
         self._require(self.gauge_period > 0, "gauge_period must be positive")
-        self._require(
-            self.load_probe_period > 0, "load_probe_period must be positive"
-        )
+        self._require(self.load_probe_period > 0, "load_probe_period must be positive")
         initial = sum(width for _, width, _ in self.stages)
         self._require(
             initial <= self.worker_budget,

@@ -23,11 +23,9 @@ translator, but zero new control-plane machinery:
   redeployment window.
 
 Every knob lives in the typed
-:class:`~repro.experiment.params.PipelineParams` block (the module-level
-constants are kept as aliases of its defaults for compatibility); the
-scenario consumes a scenario-neutral
-:class:`~repro.experiment.config.RunConfig` and returns a
-:class:`~repro.experiment.result.PipelineResult`.
+:class:`~repro.experiment.params.PipelineParams` block; the scenario
+consumes a scenario-neutral :class:`~repro.experiment.config.RunConfig`
+and returns a :class:`~repro.experiment.result.PipelineResult`.
 
 The control run injects the identical seeded workload with no adaptation:
 the bottleneck backlog grows throughout the burst and never drains inside
@@ -36,15 +34,14 @@ the horizon, while the adapted run widens the stage and recovers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.app.pipeline_app import PipelineApplication
 from repro.bus.bus import FixedDelay
 from repro.errors import TranslationError
 from repro.experiment.config import RunConfig, as_run_config
-from repro.experiment.params import PIPELINE_STAGES, PipelineParams
+from repro.experiment.params import PipelineParams
 from repro.experiment.result import PipelineResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.series import TimeSeries
 from repro.experiment.workload import BurstArrivals
 from repro.monitoring.gauges import BacklogGauge, UtilizationGauge
@@ -75,19 +72,6 @@ __all__ = [
     "PipelineTranslator",
 ]
 
-#: compatibility aliases for the typed defaults in PipelineParams
-_DEFAULTS = PipelineParams()
-STAGES = PIPELINE_STAGES
-BASELINE_RATE = _DEFAULTS.baseline_rate
-BURST_RATE = _DEFAULTS.burst_rate
-MAX_BACKLOG = _DEFAULTS.max_backlog
-LOW_WATER = _DEFAULTS.low_water
-MIN_UTILIZATION = _DEFAULTS.min_utilization
-WORKER_BUDGET = _DEFAULTS.worker_budget
-WIDEN_COST = _DEFAULTS.widen_cost
-REDEPLOY_WINDOW = _DEFAULTS.redeploy_window
-
-
 class PipelineTranslator(IntentExecutor):
     """Replays committed ``widenStage``/``narrowStage`` intents.
 
@@ -103,8 +87,8 @@ class PipelineTranslator(IntentExecutor):
         app: PipelineApplication,
         gauge_manager=None,
         trace: Optional[Trace] = None,
-        widen_cost: float = WIDEN_COST,
-        redeploy_window: float = REDEPLOY_WINDOW,
+        widen_cost: float = PipelineParams.widen_cost,
+        redeploy_window: float = PipelineParams.redeploy_window,
     ):
         self.app = app
         self.sim = app.sim
@@ -216,7 +200,7 @@ class PipelineMetricsSampler:
 class PipelineExperiment:
     """One wired pipeline run (control or adapted), ready to run."""
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
+    def __init__(self, config: RunConfig):
         config = as_run_config(config)
         self.config = config
         self.params: PipelineParams = config.params

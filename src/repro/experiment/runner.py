@@ -11,19 +11,17 @@ spec entirely — the same application under the same seeded workload with
 no adaptation.
 
 The module also owns the shared execution front door:
-:func:`run_scenario` normalizes any accepted config shape (the
-scenario-neutral :class:`~repro.experiment.config.RunConfig` or the
-legacy :class:`~repro.experiment.scenario.ScenarioConfig` shim, which
-converts bit-for-bit), dispatches through the scenario registry, and
-caches results in a bounded LRU keyed by the resolved config — so equal
-configurations share one 30-minute simulation regardless of which front
-door requested it.
+:func:`run_scenario` resolves a
+:class:`~repro.experiment.config.RunConfig`, dispatches through the
+scenario registry, and caches results in a bounded LRU keyed by the
+resolved config — so equal configurations share one 30-minute simulation
+regardless of how they were spelled.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple
 
 from repro.app.client import Client
 from repro.app.env_manager import EnvironmentManager
@@ -34,7 +32,6 @@ from repro.experiment.config import RunConfig, as_run_config
 from repro.experiment.metrics import MetricsSampler
 from repro.experiment.params import ClientServerParams
 from repro.experiment.result import ClientServerResult, RunResult
-from repro.experiment.scenario import ScenarioConfig
 from repro.experiment.testbed import Testbed, build_testbed
 from repro.experiment.workload import Workload, build_workload
 from repro.monitoring.consumers import ModelUpdater
@@ -79,16 +76,11 @@ from repro.util.rng import SeedSequenceFactory
 
 __all__ = [
     "Experiment",
-    "ExperimentResult",
     "ClientServerApplication",
     "run_scenario",
     "clear_cache",
     "set_cache_capacity",
 ]
-
-#: deprecated alias — the client/server result type (import RunResult /
-#: ClientServerResult from repro.experiment.result in new code)
-ExperimentResult = ClientServerResult
 
 #: invariant name (from the DSL) -> scope element type
 _INVARIANT_SCOPES = {"r": "ClientRoleT", "u": "ServerGroupT"}
@@ -127,15 +119,14 @@ class ClientServerApplication(ManagedApplication):
 class Experiment:
     """One wired client/server experiment, ready to run.
 
-    Accepts a :class:`RunConfig` (with :class:`ClientServerParams`) or a
-    legacy :class:`ScenarioConfig`, which is converted on entry.  The
+    Takes a :class:`RunConfig` with :class:`ClientServerParams`.  The
     runtime layer (network, application, workload) is built here; the
     adaptation stack is delegated to :class:`AdaptationRuntime` when the
     config asks for it.  ``manager``/``model``/``probe_bus``/... remain
     available as properties for harness compatibility.
     """
 
-    def __init__(self, config: Union[RunConfig, ScenarioConfig]):
+    def __init__(self, config: RunConfig):
         config = as_run_config(config)
         self.config = config
         self.params: ClientServerParams = config.params
@@ -473,14 +464,11 @@ class _ResultCache:
 _CACHE = _ResultCache()
 
 
-def run_scenario(
-    config: Union[RunConfig, ScenarioConfig], fresh: bool = False
-) -> RunResult:
+def run_scenario(config: RunConfig, fresh: bool = False) -> RunResult:
     """Run (or fetch the cached result of) one scenario.
 
-    Accepts the scenario-neutral :class:`RunConfig` or a legacy
-    :class:`ScenarioConfig` (converted bit-for-bit on entry; both map to
-    the same cache key).  Dispatches through the scenario registry
+    Raises :class:`~repro.errors.ReproError` unless ``config`` is a
+    :class:`RunConfig`.  Dispatches through the scenario registry
     (:mod:`repro.experiment.scenarios`) on ``config.scenario``, so any
     registered scenario — built-in or user-registered — runs through the
     same caching front door.  ``fresh=True`` forces a re-run; the fresh

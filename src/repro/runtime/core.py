@@ -29,7 +29,6 @@ else is event-driven from there.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.acme.sharding import ShardedArchSystem
@@ -92,7 +91,8 @@ class AdaptationRuntime:
         document = parse_repair_dsl(spec.dsl_source)
         if self.sharded:
             self.model = ShardedArchSystem.partition(
-                app.architecture(), sharding.shards,
+                app.architecture(),
+                sharding.shards,
                 resolve_shard_key(sharding.key),
             )
             self.checkers: List[ConstraintChecker] = []
@@ -101,7 +101,8 @@ class AdaptationRuntime:
                 checker.bindings.update(spec.bindings)
                 for decl in document.invariants:
                     checker.add_source(
-                        decl.name, decl.expression,
+                        decl.name,
+                        decl.expression,
                         scope_type=spec.invariant_scopes.get(decl.name),
                         repair=decl.strategy,
                     )
@@ -113,7 +114,8 @@ class AdaptationRuntime:
             self.checker.bindings.update(spec.bindings)
             for decl in document.invariants:
                 self.checker.add_source(
-                    decl.name, decl.expression,
+                    decl.name,
+                    decl.expression,
                     scope_type=spec.invariant_scopes.get(decl.name),
                     repair=decl.strategy,
                 )
@@ -127,8 +129,10 @@ class AdaptationRuntime:
         if spec.faults is not None and spec.faults.active():
             self.fault_plane = FaultPlane(sim, spec.faults, trace=self.trace)
         self.gauge_manager = GaugeManager(
-            sim, self.trace,
-            create_delay=spec.gauge_create_delay, cached=spec.gauge_caching,
+            sim,
+            self.trace,
+            create_delay=spec.gauge_create_delay,
+            cached=spec.gauge_caching,
         )
         self.translator = app.intent_executor(self)
         if self.fault_plane is not None:
@@ -202,23 +206,37 @@ class AdaptationRuntime:
             )
         if self.sharded:
             self.probe_bus = ShardedEventBus(
-                sim, sharding.shards, self.model.shard_of,
-                delivery=spec.delivery, name="probe-bus",
-                batched=spec.bus_batching, queue_policy=queue_policy,
+                sim,
+                sharding.shards,
+                self.model.shard_of,
+                delivery=spec.delivery,
+                name="probe-bus",
+                batched=spec.bus_batching,
+                queue_policy=queue_policy,
             )
             self.gauge_bus = ShardedEventBus(
-                sim, sharding.shards, self.model.shard_of,
-                delivery=spec.delivery, name="gauge-bus",
-                batched=spec.bus_batching, queue_policy=queue_policy,
+                sim,
+                sharding.shards,
+                self.model.shard_of,
+                delivery=spec.delivery,
+                name="gauge-bus",
+                batched=spec.bus_batching,
+                queue_policy=queue_policy,
             )
         else:
             self.probe_bus = EventBus(
-                sim, delivery=spec.delivery, name="probe-bus",
-                batched=spec.bus_batching, queue_policy=queue_policy,
+                sim,
+                delivery=spec.delivery,
+                name="probe-bus",
+                batched=spec.bus_batching,
+                queue_policy=queue_policy,
             )
             self.gauge_bus = EventBus(
-                sim, delivery=spec.delivery, name="gauge-bus",
-                batched=spec.bus_batching, queue_policy=queue_policy,
+                sim,
+                delivery=spec.delivery,
+                name="gauge-bus",
+                batched=spec.bus_batching,
+                queue_policy=queue_policy,
             )
         if self.fault_plane is not None:
             self.fault_plane.bind_bus(self.probe_bus)
@@ -251,7 +269,8 @@ class AdaptationRuntime:
             self.updater = None
             self.updaters = [
                 PropertyUpdater(
-                    self.model.shard(k), self.gauge_bus.shard(k),
+                    self.model.shard(k),
+                    self.gauge_bus.shard(k),
                     self.manager.shard_proxy(k),
                     property_map=spec.gauge_property_map,
                     gate=self.wake_gate,
@@ -263,7 +282,9 @@ class AdaptationRuntime:
             self.updaters = [self.updater]
         else:
             self.updater = PropertyUpdater(
-                self.model, self.gauge_bus, self.manager,
+                self.model,
+                self.gauge_bus,
+                self.manager,
                 property_map=spec.gauge_property_map,
                 gate=self.wake_gate,
             )
@@ -342,8 +363,10 @@ class AdaptationRuntime:
         """Incremental-checker counters for the evaluation hot path
         (see docs/performance.md): evaluations, full vs incremental
         passes, and per-scope evaluate/reuse totals."""
-        return {"evaluations": self.manager.evaluations,
-                **self.manager.constraint_stats}
+        return {
+            "evaluations": self.manager.evaluations,
+            **self.manager.constraint_stats,
+        }
 
     def _telemetry_section(self) -> Dict[str, int]:
         """Columnar-plane counters (X8): volume and wakeup suppression.
@@ -362,9 +385,7 @@ class AdaptationRuntime:
         if self.wake_gate is not None:
             stats.update(self.wake_gate.stats())
         else:
-            stats["wakeups"] = sum(
-                int(getattr(u, "applied", 0)) for u in self.updaters
-            )
+            stats["wakeups"] = sum(int(getattr(u, "applied", 0)) for u in self.updaters)
             stats["suppressed_reports"] = 0
         return stats
 
@@ -417,36 +438,3 @@ class AdaptationRuntime:
             faults=self._fault_section() if self.fault_plane is not None else None,
             shards=self._shard_sections(),
         )
-
-    # -- deprecated per-section accessors ----------------------------------
-    def _deprecated(self, old: str, new: str):
-        warnings.warn(
-            f"AdaptationRuntime.{old}() is deprecated; use {new}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def bus_stats(self) -> Dict[str, float]:
-        """Deprecated: use :meth:`stats` (``.bus``)."""
-        self._deprecated("bus_stats", "stats().bus")
-        return self._bus_section()
-
-    def gauge_stats(self) -> Dict[str, int]:
-        """Deprecated: use :meth:`stats` (``.gauges``)."""
-        self._deprecated("gauge_stats", "stats().gauges")
-        return self._gauge_section()
-
-    def constraint_stats(self) -> Dict[str, int]:
-        """Deprecated: use :meth:`stats` (``.constraints``)."""
-        self._deprecated("constraint_stats", "stats().constraints")
-        return self._constraint_section()
-
-    def telemetry_stats(self) -> Dict[str, int]:
-        """Deprecated: use :meth:`stats` (``.telemetry``)."""
-        self._deprecated("telemetry_stats", "stats().telemetry")
-        return self._telemetry_section()
-
-    def fault_stats(self) -> Dict[str, Any]:
-        """Deprecated: use :meth:`stats` (``.faults``)."""
-        self._deprecated("fault_stats", "stats().faults")
-        return self._fault_section()

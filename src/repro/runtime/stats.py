@@ -1,20 +1,17 @@
 """The unified runtime statistics surface.
 
-:class:`RuntimeStats` replaces the ``bus_stats()`` / ``gauge_stats()``
-/ ``constraint_stats()`` / ``telemetry_stats()`` / ``fault_stats()``
-method sprawl on :class:`~repro.runtime.core.AdaptationRuntime` with
-one typed, frozen snapshot: the five counter sections the old methods
-returned, the ``faults`` section when a fault plane exists, and — on a
-sharded runtime — one :class:`ShardStats` per shard next to the
-aggregate rollup.
+:class:`RuntimeStats` is the one counter snapshot
+:meth:`~repro.runtime.core.AdaptationRuntime.stats` returns: the bus,
+gauge, constraint, repair and telemetry sections, the ``faults`` section
+when a fault plane exists, and — on a sharded runtime — one
+:class:`ShardStats` per shard next to the aggregate rollup.
 
 Shape discipline: :meth:`RuntimeStats.to_dict` is **value-identical**
-to the dict the old ``AdaptationRuntime.stats()`` returned (regression
-tests pin this), with ``faults`` present only when a plane exists and
-``shards`` present only when sharding is active — so every historical
-consumer of the dict shape keeps working through the deprecation
-window.  :meth:`to_json` is strict JSON (``allow_nan=False``): a
-snapshot that cannot round-trip is a bug, not a serialization quirk.
+to the nested dict ``AdaptationRuntime.stats()`` used to return, with
+``faults`` present only when a plane exists and ``shards`` present only
+when sharding is active, so consumers of the dict shape keep working.
+:meth:`to_json` is strict JSON (``allow_nan=False``): a snapshot that
+cannot round-trip is a bug, not a serialization quirk.
 """
 
 from __future__ import annotations

@@ -12,24 +12,19 @@ its designed width — the style's underutilization scale-down.
 
 import pytest
 
-from repro.experiment import ScenarioConfig, run_scenario
-from repro.experiment.pipeline_scenario import (
-    BURST_RATE,
-    MAX_BACKLOG,
-    PipelineExperiment,
-    STAGES,
-    WORKER_BUDGET,
-)
+from repro.experiment import RunConfig, run_scenario
+from repro.experiment.params import PIPELINE_STAGES, PipelineParams
+from repro.experiment.pipeline_scenario import PipelineExperiment
+
+DEFAULTS = PipelineParams()
 
 
 def _adapted():
-    return run_scenario(ScenarioConfig(name="adapted", scenario="pipeline"))
+    return run_scenario(RunConfig.adapted("pipeline"))
 
 
 def _control():
-    return run_scenario(
-        ScenarioConfig(name="control", scenario="pipeline", adaptation=False)
-    )
+    return run_scenario(RunConfig.control("pipeline"))
 
 
 class TestPipelineScenarioEndToEnd:
@@ -58,22 +53,22 @@ class TestPipelineScenarioEndToEnd:
         peak_total = max(
             sum(widths)
             for widths in zip(
-                *(adapted.s(f"width.{name}").values for name, _, _ in STAGES)
+                *(adapted.s(f"width.{name}").values for name, _, _ in PIPELINE_STAGES)
             )
         )
-        assert peak_total <= WORKER_BUDGET
+        assert peak_total <= DEFAULTS.worker_budget
 
     def test_adapted_backlog_recovers_control_drowns(self):
         adapted, control = _adapted(), _control()
-        assert adapted.s("backlog.transform").values[-1] < MAX_BACKLOG
-        assert control.s("backlog.transform").values[-1] > 10 * MAX_BACKLOG
+        assert adapted.s("backlog.transform").values[-1] < DEFAULTS.max_backlog
+        assert control.s("backlog.transform").values[-1] > 10 * DEFAULTS.max_backlog
         assert adapted.completed > control.completed
 
     def test_widened_capacity_covers_burst(self):
         adapted = _adapted()
         peak_width = max(adapted.s("width.transform").values)
-        service_time = dict((n, t) for n, _, t in STAGES)["transform"]
-        assert peak_width / service_time >= BURST_RATE
+        service_time = dict((n, t) for n, _, t in PIPELINE_STAGES)["transform"]
+        assert peak_width / service_time >= DEFAULTS.burst_rate
 
     def test_stage_narrows_back_after_burst(self):
         """The underutilization shrink repair: once the burst passes and
@@ -89,10 +84,10 @@ class TestPipelineScenarioEndToEnd:
             assert record.started > burst_end  # never mid-burst
             assert all(i.op == "narrowStage" for i in record.intents)
         # ...all the way back to the designed width
-        initial_width = dict((n, w) for n, w, _ in STAGES)["transform"]
+        initial_width = dict((n, w) for n, w, _ in PIPELINE_STAGES)["transform"]
         assert adapted.s("width.transform").values[-1] == initial_width
         # the scale-down must not reopen the backlog violation
-        assert adapted.s("backlog.transform").values[-1] < MAX_BACKLOG
+        assert adapted.s("backlog.transform").values[-1] < DEFAULTS.max_backlog
 
     def test_no_widen_narrow_oscillation(self):
         """The utilization guard keeps the shrink repair off mid-burst:
@@ -114,23 +109,17 @@ class TestPipelineScenarioEndToEnd:
             assert 0.0 < start < end <= adapted.config.horizon
 
     def test_control_has_no_control_plane(self):
-        exp = PipelineExperiment(
-            ScenarioConfig(name="control", scenario="pipeline", adaptation=False)
-        )
+        exp = PipelineExperiment(RunConfig.control("pipeline"))
         assert exp.runtime is None
 
     def test_cache_key_distinguishes_scenarios(self):
-        client_server = ScenarioConfig(name="adapted")
-        pipeline = ScenarioConfig(name="adapted", scenario="pipeline")
+        client_server = RunConfig.adapted()
+        pipeline = RunConfig.adapted("pipeline")
         assert client_server.cache_key() != pipeline.cache_key()
 
     def test_results_reproducible_for_same_seed(self):
-        first = run_scenario(
-            ScenarioConfig(name="adapted", scenario="pipeline"), fresh=True
-        )
-        second = run_scenario(
-            ScenarioConfig(name="adapted", scenario="pipeline"), fresh=True
-        )
+        first = run_scenario(RunConfig.adapted("pipeline"), fresh=True)
+        second = run_scenario(RunConfig.adapted("pipeline"), fresh=True)
         assert first.issued == second.issued
         assert first.completed == second.completed
         assert len(first.history) == len(second.history)

@@ -1,11 +1,8 @@
 """Tests for the scenario-neutral experiment API.
 
-Covers the typed RunConfig + params redesign: field routing, named
-variants, registry entries (params types, error paths), the legacy
-ScenarioConfig shim's conversion, and the headline acceptance criterion —
-the client/server adapted run is bit-for-bit identical (series + trace
-schedule) through the legacy ``run_scenario(ScenarioConfig(...))`` path
-and the new ``repro.api.run(RunConfig(...))`` path.
+Covers the typed RunConfig + params design: field routing, named
+variants, registry entries (params types, error paths), the facade, and
+the single front door (anything but a RunConfig is rejected).
 """
 
 import pytest
@@ -17,7 +14,6 @@ from repro.experiment import (
     MasterWorkerParams,
     PipelineParams,
     RunConfig,
-    ScenarioConfig,
     ScenarioParams,
     as_run_config,
     run_scenario,
@@ -60,18 +56,6 @@ class TestRunConfig:
         assert moved.params is None
         assert moved.resolved().params == ClientServerParams()
 
-    def test_getattr_falls_through_to_params(self):
-        cfg = RunConfig().resolved()
-        assert cfg.max_latency == cfg.params.max_latency
-        with pytest.raises(AttributeError):
-            cfg.not_a_field
-
-    def test_getattr_resolves_defaults_when_params_unset(self):
-        assert RunConfig.adapted().settle_time == 20.0
-        assert RunConfig(scenario="pipeline").burst_rate == 3.0
-        with pytest.raises(AttributeError):
-            RunConfig(scenario="warehouse").settle_time  # unknown scenario
-
     def test_resolved_fills_registered_defaults(self):
         cfg = RunConfig(scenario="pipeline").resolved()
         assert isinstance(cfg.params, PipelineParams)
@@ -92,15 +76,6 @@ class TestRunConfig:
         assert a.cache_key() == RunConfig.adapted().cache_key()
         assert a.cache_key() != a.but(gauge_caching=True).cache_key()
         assert a.cache_key() != RunConfig.adapted("pipeline").cache_key()
-
-    def test_cache_key_matches_legacy_conversion(self):
-        """Equal configs share one cache entry through both front doors."""
-        legacy = ScenarioConfig(name="adapted").to_run_config()
-        assert legacy.cache_key() == RunConfig.adapted().cache_key()
-        legacy_p = ScenarioConfig(name="adapted", scenario="pipeline")
-        assert (legacy_p.to_run_config().cache_key()
-                == RunConfig.adapted("pipeline").cache_key())
-
 
 class TestScenarioParams:
     def test_but_and_cache_key(self):
@@ -125,51 +100,6 @@ class TestScenarioParams:
         )
         with pytest.raises(ReproError, match="pool sizes"):
             bad.resolved()
-
-    def test_legacy_fields_subset_for_non_client_server(self):
-        # pipeline adopts only the machinery knobs from the old god-config
-        assert "min_utilization" not in PipelineParams.legacy_fields()
-        assert "settle_time" in PipelineParams.legacy_fields()
-        # client/server adopts every field it declares
-        assert set(ClientServerParams.legacy_fields()) == set(
-            ClientServerParams.field_names()
-        )
-
-
-class TestLegacyShim:
-    def test_control_adapted_propagate_scenario(self):
-        """Regression: named variants used to drop the scenario field."""
-        assert ScenarioConfig.control(scenario="pipeline").scenario == "pipeline"
-        assert ScenarioConfig.adapted(scenario="pipeline").scenario == "pipeline"
-        assert ScenarioConfig.control().scenario == "client_server"
-
-    def test_to_run_config_copies_values(self):
-        legacy = ScenarioConfig.adapted().but(
-            settle_time=33.0, gauge_caching=True, horizon=123.0
-        )
-        cfg = legacy.to_run_config()
-        assert cfg.scenario == "client_server"
-        assert cfg.horizon == 123.0
-        assert cfg.params.settle_time == 33.0
-        assert cfg.params.gauge_caching is True
-
-    def test_pipeline_conversion_keeps_pipeline_defaults(self):
-        # client/server-only knobs must not leak into the pipeline block
-        legacy = ScenarioConfig.adapted(scenario="pipeline").but(
-            min_utilization=0.95, settle_time=44.0
-        )
-        cfg = legacy.to_run_config()
-        assert cfg.params.min_utilization == PipelineParams().min_utilization
-        assert cfg.params.settle_time == 44.0
-
-    def test_as_run_config_accepts_both(self):
-        assert as_run_config(RunConfig()).params is not None
-        assert isinstance(
-            as_run_config(ScenarioConfig()).params, ClientServerParams
-        )
-        with pytest.raises(ReproError):
-            as_run_config(object())
-
 
 class TestRegistry:
     def test_entries_carry_params_types(self):
@@ -265,28 +195,42 @@ class TestApiFacade:
         assert cs.clients == ["C1", "C2", "C3", "C4", "C5", "C6"]
 
 
-class TestFingerprintEquivalence:
-    """Acceptance: both front doors produce the identical simulation."""
+class TestSingleFrontDoor:
+    """RunConfig is the only accepted config; the old door is gone."""
 
-    def test_adapted_run_bit_for_bit_through_both_paths(self):
-        legacy = run_scenario(ScenarioConfig(name="adapted"))
-        modern = api.run(
-            RunConfig(scenario="client_server", name="adapted"), fresh=True
-        )
-        assert modern is not legacy  # two real runs, not a cache hit
-        # scalar fingerprint (the pinned seed values)
-        assert (modern.issued, modern.completed, modern.dropped) == (
-            legacy.issued, legacy.completed, legacy.dropped
-        )
-        # series fingerprint: every sample identical, bit for bit
-        assert sorted(modern.series) == sorted(legacy.series)
-        for name in legacy.series:
-            assert list(modern.s(name).times) == list(legacy.s(name).times)
-            lv = legacy.s(name).values
-            mv = modern.s(name).values
-            assert ((lv == mv) | ((lv != lv) & (mv != mv))).all(), name
-        # trace fingerprint: the full event schedule matches
-        assert len(modern.trace) == len(legacy.trace)
-        assert modern.trace.records == legacy.trace.records
-        # the fresh run replaced the shared cache entry
-        assert run_scenario(ScenarioConfig(name="adapted")) is modern
+    class _Convertible:
+        """The duck-typed shape the removed converter branch accepted."""
+
+        def to_run_config(self):
+            return RunConfig()
+
+    @pytest.mark.parametrize("entry", [run_scenario, api.run, as_run_config])
+    def test_rejects_anything_but_run_config(self, entry):
+        for config in (self._Convertible(), ClientServerParams(), None):
+            with pytest.raises(ReproError, match="expected RunConfig"):
+                entry(config)
+
+    def test_removed_names_are_gone(self):
+        import importlib
+
+        import repro
+        from repro import experiment
+        from repro.experiment import runner
+        from repro.runtime import AdaptationRuntime
+
+        # spelled in two parts so a grep for the removed names finds
+        # only real uses
+        old_config, old_result = "Scenario" "Config", "Experiment" "Result"
+        for module in (repro, api, experiment):
+            assert not hasattr(module, old_config)
+            assert old_config not in module.__all__
+        for module in (experiment, runner):
+            assert not hasattr(module, old_result)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.experiment.scenario")
+        assert not hasattr(ScenarioParams, "legacy" "_fields")
+        for name in ("bus", "gauge", "constraint", "telemetry", "fault"):
+            assert not hasattr(AdaptationRuntime, f"{name}_stats")
+        # no fall-through: scenario knobs are read from the params block
+        with pytest.raises(AttributeError):
+            RunConfig().settle_time

